@@ -20,9 +20,8 @@ import numpy as np
 
 from repro.autodiff import ops
 from repro.ar.made import MADE
-from repro.errors import CompileError, ConfigError, ParallelTrainError
+from repro.errors import CompileError, ConfigError
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.runtime.parallel import ParallelTrainEngine
 from repro.runtime.train import TrainStepExecutor
 from repro.utils.rng import ensure_rng
 
@@ -38,10 +37,6 @@ class TrainConfig:
     wildcard_probability: float = 0.5  # chance a sample gets any wildcards
     seed: int | None = 0
     backend: str = "compiled"  # cached-tape executor; 'eager' is the oracle
-    # 0 = sequential; W >= 1 shards each batch across W gradient workers
-    # (repro.runtime.parallel). W=1 is bitwise-identical to sequential
-    # compiled; worker crashes fall back without losing the step.
-    n_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
@@ -50,8 +45,6 @@ class TrainConfig:
             raise ConfigError("wildcard_probability must be in [0, 1]")
         if self.backend not in ("compiled", "eager"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.n_workers < 0:
-            raise ConfigError(f"n_workers must be >= 0, got {self.n_workers}")
 
 
 def initialize_output_bias(
@@ -110,6 +103,23 @@ def draw_wildcard_mask(
     return mask
 
 
+def step_timing_summary(step_seconds: list[float], epoch_seconds: list[float]) -> dict:
+    """Wall-clock accounting of a training run (bench reports read this).
+
+    Shared by :class:`ARTrainer` and
+    :class:`~repro.core.training.JointTrainer`, which record per-step
+    and per-epoch seconds the same way.
+    """
+    steps = len(step_seconds)
+    busy = sum(step_seconds)
+    return {
+        "n_steps": steps,
+        "steps_per_sec": steps / busy if busy > 0 else 0.0,
+        "p50_step_ms": float(np.median(step_seconds)) * 1e3 if steps else 0.0,
+        "epoch_seconds": list(epoch_seconds),
+    }
+
+
 class ARTrainer:
     """Trains a :class:`MADE` on a token matrix."""
 
@@ -121,12 +131,6 @@ class ARTrainer:
         self.epoch_losses: list[float] = []
         self.step_seconds: list[float] = []
         self.epoch_seconds: list[float] = []
-        self.parallel_steps = 0
-        self.parallel_fallbacks = 0
-        # Modeled per-row data stall (us) for benchmarking; see
-        # JointTrainer.row_stall_us. 0.0 disables it.
-        self.row_stall_us = 0.0
-        self._parallel: ParallelTrainEngine | None = None
         self._executor: TrainStepExecutor | None = None
         if self.config.backend == "compiled":
             try:
@@ -147,54 +151,13 @@ class ARTrainer:
         return -log_like.mean()
 
     # ------------------------------------------------------------------
-    def _maybe_start_parallel(self, tokens: np.ndarray) -> None:
-        """Spawn the data-parallel engine when configured and possible."""
-        if self.config.n_workers < 1 or self._executor is None or len(tokens) == 0:
-            return
-        engine = ParallelTrainEngine(
-            model=self.model,
-            gmm_modules={},
-            raw_columns={},
-            static_tokens=tokens,
-            n_workers=self.config.n_workers,
-            row_stall_us=self.row_stall_us,
-        )
-        try:
-            engine.start()
-        except ParallelTrainError:
-            engine.close()
-            self.parallel_fallbacks += 1
-            return
-        self._parallel = engine
-
-    def _step(self, tokens: np.ndarray, rows: np.ndarray) -> float | None:
+    def _step(self, tokens: np.ndarray, rows: np.ndarray) -> float:
         """One mini-batch step on whichever backend is active.
 
-        All backends draw the wildcard mask at the same point in the RNG
-        stream; the parallel engine only touches parameters after a
-        successful reduction, so a worker crash falls back to the local
-        executor with the same mask — the step is replayed, not lost.
+        Both backends draw the wildcard mask at the same point in the
+        RNG stream, which keeps compiled runs bitwise-equal to eager.
         """
-        if self.row_stall_us and self._parallel is None:
-            time.sleep(len(rows) * self.row_stall_us * 1e-6)
-        if self._parallel is not None:
-            mask = draw_wildcard_mask(
-                self._rng, len(rows), self.model.n_columns, self.config.wildcard_probability
-            )
-            try:
-                loss_value = self._parallel.step(
-                    rows, wildcard_mask=mask, train_gmms=False, train_ar=True
-                )
-            except ParallelTrainError:
-                self._parallel.close()
-                self._parallel = None
-                self.parallel_fallbacks += 1
-                loss_value = self._executor.loss_and_grads(
-                    tokens=tokens[rows], wildcard_mask=mask, train_ar=True
-                )
-            else:
-                self.parallel_steps += 1
-        elif self._executor is not None:
+        if self._executor is not None:
             mask = draw_wildcard_mask(
                 self._rng, len(rows), self.model.n_columns, self.config.wildcard_probability
             )
@@ -218,54 +181,35 @@ class ARTrainer:
         """Run the configured number of epochs; returns per-epoch losses."""
         tokens = np.asarray(tokens, dtype=np.int64)
         initialize_output_bias(self.model, tokens)
-        self._maybe_start_parallel(tokens)
         n = len(tokens)
-        try:
-            for epoch in range(self.config.epochs):
-                order = self._rng.permutation(n)
-                total, seen = 0.0, 0
-                epoch_began = time.perf_counter()
-                for start in range(0, n, self.config.batch_size):
-                    rows = order[start : start + self.config.batch_size]
-                    began = time.perf_counter()
-                    loss_value = self._step(tokens, rows)
-                    if loss_value is None:
-                        continue
-                    self.step_seconds.append(time.perf_counter() - began)
-                    # Weight by row count so the final partial batch does
-                    # not skew the epoch mean.
-                    total += loss_value * len(rows)
-                    seen += len(rows)
-                self.epoch_seconds.append(time.perf_counter() - epoch_began)
-                if seen == 0:
-                    # No batch produced a loss: appending a 0.0 "epoch
-                    # loss" would poison the curve, so skip it and the
-                    # callback entirely.
-                    continue
-                epoch_loss = total / seen
-                self.epoch_losses.append(epoch_loss)
-                if on_epoch_end is not None:
-                    on_epoch_end(epoch, epoch_loss)
-        finally:
-            if self._parallel is not None:
-                self._parallel.close()
-                self._parallel = None
+        for epoch in range(self.config.epochs):
+            order = self._rng.permutation(n)
+            total, seen = 0.0, 0
+            epoch_began = time.perf_counter()
+            for start in range(0, n, self.config.batch_size):
+                rows = order[start : start + self.config.batch_size]
+                began = time.perf_counter()
+                loss_value = self._step(tokens, rows)
+                self.step_seconds.append(time.perf_counter() - began)
+                # Weight by row count so the final partial batch does
+                # not skew the epoch mean.
+                total += loss_value * len(rows)
+                seen += len(rows)
+            self.epoch_seconds.append(time.perf_counter() - epoch_began)
+            if seen == 0:
+                # No batch ran (empty token matrix): appending a 0.0
+                # "epoch loss" would poison the curve, so skip it and
+                # the callback entirely.
+                continue
+            epoch_loss = total / seen
+            self.epoch_losses.append(epoch_loss)
+            if on_epoch_end is not None:
+                on_epoch_end(epoch, epoch_loss)
         return self.epoch_losses
 
-    # ------------------------------------------------------------------
     def timing_summary(self) -> dict:
-        """Wall-clock accounting for the run (bench reports read this)."""
-        steps = len(self.step_seconds)
-        busy = sum(self.step_seconds)
-        return {
-            "n_steps": steps,
-            "parallel_steps": self.parallel_steps,
-            "steps_per_sec": steps / busy if busy > 0 else 0.0,
-            "p50_step_ms": float(np.median(self.step_seconds)) * 1e3 if steps else 0.0,
-            "epoch_seconds": list(self.epoch_seconds),
-            "n_workers": self.config.n_workers,
-            "parallel_fallbacks": self.parallel_fallbacks,
-        }
+        """See :func:`step_timing_summary`."""
+        return step_timing_summary(self.step_seconds, self.epoch_seconds)
 
     # ------------------------------------------------------------------
     def evaluate_nll(self, tokens: np.ndarray, batch_size: int = 4096) -> float:

@@ -1218,183 +1218,6 @@ def training_runtime(dataset: str = "twi", epochs: int | None = None):
     return headers, rows, summary
 
 
-def training_parallel(
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    row_stall_us: float = 200.0,
-    tolerance: tuple[float, float] = (1e-6, 1e-8),
-):
-    """Data-parallel training gate: sharded gradient workers vs sequential.
-
-    Trains one synthetic joint problem (two GMM-reduced columns, two
-    categorical columns) once sequentially and once per worker count
-    through :class:`~repro.runtime.parallel.ParallelTrainEngine`, all
-    from identical seeds, and checks the determinism contract:
-
-    - ``W=1`` must reproduce the sequential compiled run bitwise
-      (per-epoch losses and every final parameter array);
-    - the largest ``W`` is run twice and must be bitwise-reproducible;
-    - every ``W`` must land within ``tolerance`` (rtol, atol) of the
-      sequential parameters — different shard counts only reorder
-      floating-point sums.
-
-    Like ``serve_scale``, the benchmark container is typically low-core
-    (CI runs on 1), where the pure-compute fraction of a step cannot
-    scale across worker processes at all.  ``row_stall_us`` models the
-    per-row data-stall component of training over a real storage layer
-    (page-cache misses, decompression, a network hop per chunk): the
-    sequential loop sleeps ``batch x stall`` in one process while each
-    worker sleeps only ``shard x stall``, concurrently — identical
-    modeled work per row for every configuration, recorded honestly in
-    the summary.  The speedup gate reads steps/sec from the median
-    per-step latency.  The sweep ends with a /dev/shm leak check.
-    """
-    from repro.ar.made import build_made
-    from repro.core.training import JointTrainer
-    from repro.mixtures.base import GaussianMixture1D
-    from repro.mixtures.sgd_gmm import SGDGaussianMixture
-    from repro.runtime.parallel import leaked_segments
-
-    scale = bench_scale()
-    if scale.name == "micro":
-        n_rows, batch, epochs, hidden = 4096, 1024, 3, (64, 64, 64)
-    else:
-        n_rows, batch, epochs, hidden = 16_384, 2048, 3, scale.ar_hidden
-    n_components, vocab_cat = 8, 12
-
-    rng = ensure_rng(1234)
-    raw_columns = {
-        0: np.concatenate([
-            rng.normal(-4.0, 1.0, n_rows // 2),
-            rng.normal(4.0, 1.5, n_rows - n_rows // 2),
-        ])[rng.permutation(n_rows)],
-        2: rng.gamma(2.0, 2.0, n_rows),
-    }
-    static_tokens = np.zeros((n_rows, 4), dtype=np.int64)
-    static_tokens[:, 1] = rng.integers(0, vocab_cat, n_rows)
-    static_tokens[:, 3] = rng.integers(0, vocab_cat, n_rows)
-    vocab_sizes = [n_components, vocab_cat, n_components, vocab_cat]
-
-    def build_gmm(values: np.ndarray) -> SGDGaussianMixture:
-        init = GaussianMixture1D(
-            np.full(n_components, 1.0 / n_components),
-            np.linspace(float(values.min()), float(values.max()), n_components),
-            np.full(n_components, float(values.var()) / n_components + 1e-3),
-        )
-        return SGDGaussianMixture(
-            init, loc=float(values.mean()), scale=float(values.std()) or 1.0
-        )
-
-    def run(n_workers: int) -> dict:
-        model = build_made(
-            vocab_sizes, arch="resmade", hidden_sizes=hidden, embed_dim=16, seed=7
-        )
-        gmms = {column: build_gmm(values) for column, values in raw_columns.items()}
-        config = IAMConfig(
-            epochs=epochs,
-            batch_size=batch,
-            hidden_sizes=hidden,
-            embed_dim=16,
-            n_components=n_components,
-            seed=3,
-            n_workers=n_workers,
-        )
-        trainer = JointTrainer(model, gmms, raw_columns, static_tokens, config)
-        trainer.row_stall_us = row_stall_us
-        with Timer() as timer:
-            losses = trainer.train()
-        state = dict(model.state_dict())
-        for column, module in gmms.items():
-            for name, array in module.state_dict().items():
-                state[f"gmm{column}.{name}"] = array
-        steps = np.asarray(trainer.step_seconds)
-        p50_ms = float(np.percentile(steps, 50) * 1e3)
-        return {
-            "n_workers": n_workers,
-            "losses": list(losses),
-            "state": state,
-            "fit_seconds": timer.elapsed,
-            "n_steps": len(steps),
-            "p50_step_ms": p50_ms,
-            "steps_per_sec": 1e3 / max(p50_ms, 1e-9),
-            "epoch_seconds": list(trainer.epoch_seconds),
-            "timing": trainer.timing_summary(),
-            "parallel_steps": trainer.parallel_steps,
-            "parallel_fallbacks": trainer.parallel_fallbacks,
-        }
-
-    baseline_leaks = set(leaked_segments())
-    sequential = run(0)
-    runs = {w: run(w) for w in worker_counts}
-    max_w = max(worker_counts)
-    repeat = run(max_w)
-    leaks = sorted(set(leaked_segments()) - baseline_leaks)
-
-    def state_equal(a: dict, b: dict) -> bool:
-        return all(np.array_equal(a[k], b[k]) for k in a)
-
-    def state_close(a: dict, b: dict) -> bool:
-        rtol, atol = tolerance
-        return all(np.allclose(a[k], b[k], rtol=rtol, atol=atol) for k in a)
-
-    bitwise_w1 = bool(
-        1 in runs
-        and runs[1]["losses"] == sequential["losses"]
-        and state_equal(runs[1]["state"], sequential["state"])
-    )
-    deterministic_fixed_w = bool(
-        repeat["losses"] == runs[max_w]["losses"]
-        and state_equal(repeat["state"], runs[max_w]["state"])
-    )
-    params_within_tolerance = bool(
-        all(state_close(r["state"], sequential["state"]) for r in runs.values())
-    )
-    speedup = {
-        w: runs[w]["steps_per_sec"] / max(sequential["steps_per_sec"], 1e-9)
-        for w in worker_counts
-    }
-
-    headers = ["Workers", "steps/s", "p50 ms/step", "speedup", "fallbacks"]
-    rows = [["seq", round(sequential["steps_per_sec"], 1),
-             round(sequential["p50_step_ms"], 2), 1.0, 0]]
-    for w in worker_counts:
-        rows.append([
-            w,
-            round(runs[w]["steps_per_sec"], 1),
-            round(runs[w]["p50_step_ms"], 2),
-            round(speedup[w], 2),
-            runs[w]["parallel_fallbacks"],
-        ])
-
-    def public(record: dict) -> dict:
-        return {k: v for k, v in record.items() if k != "state"}
-
-    summary = {
-        "experiment": "training_parallel",
-        "scale": scale.name,
-        "n_rows": n_rows,
-        "batch_size": batch,
-        "epochs": epochs,
-        "row_stall_us": row_stall_us,
-        "stall_note": (
-            "modeled per-row data stall, identical for every configuration: "
-            "the benchmark host is low-core, so compute cannot scale across "
-            "processes; the stall is the external-latency component that "
-            "sharding genuinely overlaps"
-        ),
-        "sequential": public(sequential),
-        "workers": {str(w): public(runs[w]) for w in worker_counts},
-        "repeat_w": max_w,
-        "speedup": {str(w): float(s) for w, s in speedup.items()},
-        "speedup_at_max_w": float(speedup[max_w]),
-        "tolerance": {"rtol": tolerance[0], "atol": tolerance[1]},
-        "bitwise_w1": bitwise_w1,
-        "deterministic_fixed_w": deterministic_fixed_w,
-        "params_within_tolerance": params_within_tolerance,
-        "leaked_segments": leaks,
-    }
-    return headers, rows, summary
-
-
 # ----------------------------------------------------------------------
 # Ablations (DESIGN.md Section 6)
 # ----------------------------------------------------------------------

@@ -40,13 +40,11 @@ class IAMConfig:
         graph every step. Both are bitwise-identical under a fixed seed —
         eager is the correctness oracle (see docs/training_runtime.md).
     n_workers:
-        0 (default) trains sequentially in-process; W >= 1 shards every
-        mini-batch across W spawned gradient workers over shared-memory
-        training data (``repro.runtime.parallel``). W=1 is bitwise-
-        identical to the sequential compiled path; any fixed W is
-        bitwise-reproducible. Requires the compiled backend and argmax
-        assignment — otherwise (or on worker crash) training falls back
-        to the sequential path.
+        Must be 0: training is one sequential in-process SGD loop, the
+        paper's joint Equation-6 recipe, so there are no worker
+        processes to configure. The field is kept only so callers that
+        pass ``n_workers=0`` keep working; any other value raises
+        :class:`~repro.errors.ConfigError`.
 
     Inference knobs
     ---------------
@@ -115,8 +113,10 @@ class IAMConfig:
             raise ConfigError("wildcard_probability must be in [0, 1]")
         if self.train_backend not in ("compiled", "eager"):
             raise ConfigError(f"unknown train_backend {self.train_backend!r}")
-        if self.n_workers < 0:
-            raise ConfigError(f"n_workers must be >= 0, got {self.n_workers}")
+        if self.n_workers != 0:
+            raise ConfigError(
+                f"n_workers must be 0 (training is sequential), got {self.n_workers}"
+            )
         if self.inference_precision not in ("float64", "float32"):
             raise ConfigError(
                 f"unknown inference_precision {self.inference_precision!r} "

@@ -9,8 +9,10 @@ table (or a schema-compatible one) to rebind inference.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -116,15 +118,26 @@ def save_iam(model: IAM, path: str | os.PathLike) -> None:
 
 
 def load_iam(path: str | os.PathLike, table: Table) -> IAM:
-    """Restore a saved IAM, rebinding inference to ``table``."""
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"].tobytes()).decode())
-        ar_state = {
-            name[len("ar.") :]: archive[name]
-            for name in archive.files
-            if name.startswith("ar.")
-        }
-    cfg_dict = meta["config"]
+    """Restore a saved IAM, rebinding inference to ``table``.
+
+    A damaged archive (truncated, not an npz, missing or malformed
+    metadata) and a config key :class:`IAMConfig` does not know both
+    raise :class:`ConfigError`.
+    """
+    try:
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["__meta__"].tobytes()).decode())
+            ar_state = {
+                name[len("ar.") :]: archive[name]
+                for name in archive.files
+                if name.startswith("ar.")
+            }
+        cfg_dict = meta["config"]
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{os.fspath(path)!r} is not a readable IAM archive: {exc}") from exc
+    unknown = sorted(set(cfg_dict) - {f.name for f in dataclasses.fields(IAMConfig)})
+    if unknown:
+        raise ConfigError(f"archive config has unknown IAMConfig keys {unknown}")
     cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
     config = IAMConfig(**cfg_dict)
 

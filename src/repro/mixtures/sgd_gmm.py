@@ -89,37 +89,6 @@ class SGDGaussianMixture(Module):
         return self.nll(x)
 
     # ------------------------------------------------------------------
-    def log_prob_numpy(self, x: np.ndarray) -> np.ndarray:
-        """(N,) mixture log density, pure numpy (no autodiff graph).
-
-        Same math as :meth:`log_prob` with the current parameters; used
-        where only the value is needed (shard-sum verification, serving).
-        """
-        z = (np.asarray(x, dtype=np.float64).reshape(-1, 1) - self.loc) / self.scale
-        logits = self.logits.data
-        shifted = logits - logits.max()
-        log_w = shifted - np.log(np.exp(shifted).sum())
-        log_stds = self.log_stds.data
-        inv_var = np.exp(-2.0 * log_stds)
-        joint = (
-            log_w[None, :]
-            - log_stds[None, :]
-            - 0.5 * ((z - self.means.data[None, :]) ** 2 * inv_var[None, :] + _LOG_2PI)
-        )
-        peak = joint.max(axis=1, keepdims=True)
-        return (peak + np.log(np.exp(joint - peak).sum(axis=1, keepdims=True))).reshape(-1)
-
-    def nll_sum_numpy(self, x: np.ndarray) -> float:
-        """Raw negative log-likelihood *sum* over ``x`` (not the mean).
-
-        Shard-safe by construction: per-row terms are independent, so
-        ``nll_sum(a) + nll_sum(b) == nll_sum(concat(a, b))`` up to
-        summation order. The data-parallel trainer reduces exactly such
-        per-shard sums before applying the global ``1/B`` scale.
-        """
-        return float(-self.log_prob_numpy(x).sum())
-
-    # ------------------------------------------------------------------
     def assign_numpy(self, x: np.ndarray) -> np.ndarray:
         """Argmax component assignment with the *current* parameters.
 

@@ -15,10 +15,8 @@ pure-numpy execution form for the query path:
   :class:`~repro.runtime.train.Arena`, and fused kernels for the
   Equation-6 loss, bitwise-equivalent to the eager autodiff path (see
   ``docs/training_runtime.md``).
-- :class:`~repro.runtime.parallel.ParallelTrainEngine` — data-parallel
-  training: W spawned gradient workers over zero-copy shared training
-  data (:mod:`repro.runtime.shmio` segments), deterministic rank-order
-  reduction, central clip + optimizer.
+- :mod:`repro.runtime.shmio` — named shared-memory segments that
+  carry compiled plans to the serving cluster's worker processes.
 
 The split is machine-enforced: the ``runtime-tensor-in-inference``
 iamlint rule forbids ``autodiff.Tensor`` construction anywhere in this
@@ -27,11 +25,6 @@ package (and in the progressive sampler's hot loop).  See
 """
 
 from repro.runtime.gmm import RangeMassCache
-from repro.runtime.parallel import (
-    ParallelTrainEngine,
-    SharedTrainingData,
-    shard_bounds,
-)
 from repro.runtime.plan import MADEPlan, Workspace, compile_made, softmax_inplace
 from repro.runtime.train import (
     Arena,
@@ -45,12 +38,9 @@ __all__ = [
     "CompiledGMMLoss",
     "CompiledMADELoss",
     "MADEPlan",
-    "ParallelTrainEngine",
     "RangeMassCache",
-    "SharedTrainingData",
     "TrainStepExecutor",
     "Workspace",
     "compile_made",
-    "shard_bounds",
     "softmax_inplace",
 ]

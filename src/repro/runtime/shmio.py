@@ -1,13 +1,10 @@
-"""Named shared-memory array segments: the one wire format, shared.
+"""Named shared-memory array segments: the generic wire format.
 
-``repro.serve.cluster.shm`` introduced the layout for publishing
-compiled MADEPlans to a worker pool: an 8-byte magic, an 8-byte
-little-endian header length, a JSON header describing every array
-(name / dtype / shape / offset), then the raw array bytes, each start
-64-byte aligned.  Data-parallel training (``repro.runtime.parallel``)
-needs exactly the same machinery for its immutable training inputs and
-its gradient/parameter arenas, so the generic half lives here and both
-callers delegate:
+``repro.serve.cluster.shm`` publishes compiled MADEPlans to a worker
+pool in this layout: an 8-byte magic, an 8-byte little-endian header
+length, a JSON header describing every array (name / dtype / shape /
+offset), then the raw array bytes, each start 64-byte aligned.  The
+plan-agnostic half lives here and the cluster's plan layer delegates:
 
 - :func:`publish_segment` lays an ordered ``{name: ndarray}`` mapping
   plus a JSON-serialisable ``meta`` dict into one named

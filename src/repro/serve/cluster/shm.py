@@ -5,8 +5,8 @@ content-fingerprinted — exactly the shape of data worth mapping once and
 sharing across a pool of worker processes instead of pickling a copy
 into each.  The generic wire format (magic + JSON header + 64-byte
 aligned arrays, refcounted publisher handle, tracker-suppressed attach)
-lives in :mod:`repro.runtime.shmio` — data-parallel training shares it —
-and this module keeps the plan-specific layer:
+lives in :mod:`repro.runtime.shmio`, and this module keeps the
+plan-specific layer:
 
 - :func:`publish_plan` lays the plan's complete array set (via
   ``MADEPlan.to_buffers()``) into ONE named segment.  The returned

@@ -1,5 +1,7 @@
 """Persistence across reducer kinds, and schema-rebind edge cases."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,26 @@ def test_archive_is_self_contained(fitted_iam, twi_small, tmp_path):
     restored = load_iam(path, twi_small)
     del fitted_iam
     assert q_error(max(expected, 1e-9), max(restored.estimate(q), 1e-9)) < 1.3
+
+
+def test_truncated_archive_raises_config_error(fitted_iam, twi_small, tmp_path):
+    path = tmp_path / "whole.npz"
+    save_iam(fitted_iam, path)
+    data = path.read_bytes()
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(data[: len(data) // 2])
+    with pytest.raises(ConfigError, match="not a readable IAM archive"):
+        load_iam(truncated, twi_small)
+
+
+def test_unknown_config_key_raises_config_error(fitted_iam, twi_small, tmp_path):
+    path = tmp_path / "cfg.npz"
+    save_iam(fitted_iam, path)
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode())
+    meta["config"]["no_such_knob"] = 1
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match="no_such_knob"):
+        load_iam(path, twi_small)

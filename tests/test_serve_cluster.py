@@ -40,6 +40,7 @@ from repro.serve.cluster import (
     publish_plan,
 )
 from repro.serve.cluster.shm import PlanSegment
+from repro.serve.cluster.testing import SlowEstimator
 
 
 @pytest.fixture(scope="module")
@@ -275,31 +276,6 @@ def test_hash_policy_pins_queries_for_cache_affinity(iam_estimator, twi_workload
 # ----------------------------------------------------------------------
 # Degradation: shedding, timeouts, overload
 # ----------------------------------------------------------------------
-class SlowEstimator:
-    """Picklable slow wrapper so worker-side queues actually fill up."""
-
-    name = "slow-iam"
-
-    def __init__(self, inner, delay_seconds: float):
-        self._inner = inner
-        self._delay = delay_seconds
-
-    @property
-    def table(self):
-        return self._inner.table
-
-    def runtime_plan(self):
-        return self._inner.runtime_plan()
-
-    def estimate(self, query):
-        time.sleep(self._delay)
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries, rngs=None):
-        time.sleep(self._delay)
-        return self._inner.estimate_batch(queries, rngs=rngs)
-
-
 @pytest.fixture(scope="module")
 def slow_cluster(iam_estimator):
     before = leaked_segments()

@@ -14,10 +14,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.training as training_module
 from repro.ar import ARTrainer, TrainConfig, build_made
+from repro.ar.train import initialize_output_bias
 from repro.core.config import IAMConfig
 from repro.core.model import IAM
+from repro.core.training import JointTrainer
 from repro.errors import CompileError, ConfigError
+from repro.mixtures.base import GaussianMixture1D
+from repro.mixtures.sgd_gmm import SGDGaussianMixture
 from repro.runtime.train import Arena, TrainStepExecutor
 from tests.conftest import FAST_IAM
 
@@ -192,3 +197,129 @@ class TestFallback:
         model = build_made([4, 4, 3], arch="resmade", hidden_sizes=(16, 16), seed=0)
         trainer = ARTrainer(model, TrainConfig(epochs=1, seed=0, backend="eager"))
         assert trainer._executor is None
+
+
+# ---------------------------------------------------------------------------
+# Trainer loop contracts: chunked bias init, empty epochs, timing summary
+# ---------------------------------------------------------------------------
+
+N_ROWS = 256
+BATCH = 64
+EPOCHS = 2
+VOCAB = [4, 6, 4, 5]
+
+
+def _raw_columns(n=N_ROWS):
+    rng = np.random.default_rng(11)
+    return {
+        0: rng.normal(0.0, 3.0, n),
+        2: rng.gamma(2.0, 1.5, n),
+    }
+
+
+def _static_tokens(n=N_ROWS):
+    rng = np.random.default_rng(12)
+    tokens = np.zeros((n, 4), dtype=np.int64)
+    tokens[:, 1] = rng.integers(0, VOCAB[1], n)
+    tokens[:, 3] = rng.integers(0, VOCAB[3], n)
+    return tokens
+
+
+def _gmm(values, k=4):
+    init = GaussianMixture1D(
+        np.full(k, 1.0 / k),
+        np.linspace(float(values.min()), float(values.max()), k),
+        np.full(k, float(values.var()) / k + 1e-3),
+    )
+    return SGDGaussianMixture(init, loc=float(values.mean()), scale=float(values.std()))
+
+
+def _trainer(n_workers, **overrides):
+    raw = _raw_columns()
+    model = build_made(VOCAB, arch="resmade", hidden_sizes=(16, 16), embed_dim=4, seed=5)
+    gmms = {column: _gmm(values) for column, values in raw.items()}
+    config = IAMConfig(
+        epochs=EPOCHS,
+        batch_size=BATCH,
+        hidden_sizes=(16, 16),
+        embed_dim=4,
+        seed=9,
+        n_workers=n_workers,
+        **overrides,
+    )
+    return JointTrainer(model, gmms, raw, _static_tokens(), config)
+
+
+def test_n_workers_must_be_zero():
+    assert IAMConfig(n_workers=0).n_workers == 0
+    for n_workers in (1, 2, -1):
+        with pytest.raises(ConfigError):
+            IAMConfig(n_workers=n_workers)
+
+
+def test_trainer_timing_summary():
+    rng = np.random.default_rng(3)
+    tokens = np.column_stack(
+        [rng.integers(0, 7, 200), rng.integers(0, 5, 200), rng.integers(0, 9, 200)]
+    )
+    model = build_made([7, 5, 9], arch="resmade", hidden_sizes=(16, 16), embed_dim=4, seed=2)
+    trainer = ARTrainer(model, TrainConfig(epochs=2, batch_size=64, seed=4))
+    trainer.train(tokens)
+    timing = trainer.timing_summary()
+    assert set(timing) == {"n_steps", "steps_per_sec", "p50_step_ms", "epoch_seconds"}
+    assert timing["n_steps"] == len(trainer.step_seconds)
+    assert timing["steps_per_sec"] > 0
+    assert len(timing["epoch_seconds"]) == 2
+
+    joint = _trainer(0)
+    joint.train()
+    assert set(joint.timing_summary()) == set(timing)
+    assert joint.timing_summary()["n_steps"] == len(joint.step_seconds)
+
+
+def test_chunked_bias_init_bitwise_matches_one_shot(monkeypatch):
+    one_shot = _trainer(0)
+    initialize_output_bias(
+        one_shot.model, one_shot._assign_tokens(np.arange(N_ROWS))
+    )
+    expected = one_shot.model.output_layer.bias.data.copy()
+
+    monkeypatch.setattr(training_module, "_BIAS_INIT_CHUNK", 37)
+    chunked = _trainer(0)
+    chunked._initialize_bias()
+    assert np.array_equal(chunked.model.output_layer.bias.data, expected)
+
+
+def test_initialize_output_bias_counts_matches_tokens():
+    model_a = build_made(VOCAB, arch="resmade", hidden_sizes=(16, 16), embed_dim=4, seed=5)
+    model_b = build_made(VOCAB, arch="resmade", hidden_sizes=(16, 16), embed_dim=4, seed=5)
+    rng = np.random.default_rng(8)
+    tokens = np.column_stack([rng.integers(0, v, 100) for v in VOCAB])
+    initialize_output_bias(model_a, tokens)
+    counts = [
+        np.bincount(tokens[:, k], minlength=v) for k, v in enumerate(VOCAB)
+    ]
+    initialize_output_bias(model_b, counts=counts)
+    assert np.array_equal(
+        model_a.output_layer.bias.data, model_b.output_layer.bias.data
+    )
+
+
+def test_empty_epoch_appends_no_loss_joint():
+    trainer = _trainer(0, train_backend="eager")
+    trainer.gmm_modules = {}
+    calls = []
+    # train_gmms=True with no GMM modules: every batch yields no loss.
+    trainer._run_epochs(2, True, False, lambda e, l: calls.append((e, l)))
+    assert trainer.epoch_losses == []
+    assert calls == []
+    assert len(trainer.epoch_seconds) == 2  # wall clock still recorded
+
+
+def test_empty_epoch_appends_no_loss_ar():
+    model = build_made([7, 5], arch="resmade", hidden_sizes=(16, 16), embed_dim=4, seed=2)
+    trainer = ARTrainer(model, TrainConfig(epochs=2, batch_size=16, seed=4))
+    losses = trainer.train(np.zeros((0, 2), dtype=np.int64))
+    assert losses == []
+    assert trainer.epoch_losses == []
+    assert len(trainer.epoch_seconds) == 2
