@@ -21,13 +21,16 @@ leak check.
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
+import statistics
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 
+from repro.serve.cluster.testing import SlowEstimator
 from repro.serve.http import make_server, start_in_background
 from repro.serve.service import EstimationService, ServeConfig
 
@@ -116,6 +119,41 @@ def _http_json(url: str, payload: dict | None = None) -> tuple[int, dict]:
         return exc.code, json.loads(exc.read().decode("utf-8"))
 
 
+# A keep-alive cache hit answers in about 1 ms; a response whose body
+# waits on the client's delayed ACK takes about 40 ms.
+_KEEPALIVE_MEDIAN_LIMIT_MS = 20.0
+
+
+def _keepalive_failure(port: int, payload: dict, n: int = 30) -> str | None:
+    """Time ``n`` sequential POSTs on one keep-alive connection.
+
+    Returns a failure message when the median round trip reaches
+    ``_KEEPALIVE_MEDIAN_LIMIT_MS`` or a request fails, else None.
+    """
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    round_trips = []
+    try:
+        for _ in range(n):
+            started = time.perf_counter()
+            connection.request("POST", "/estimate", body=body, headers=headers)
+            response = connection.getresponse()
+            response.read()
+            round_trips.append((time.perf_counter() - started) * 1000.0)
+            if response.status != 200:
+                return f"keep-alive /estimate returned {response.status}"
+    finally:
+        connection.close()
+    median = statistics.median(round_trips)
+    if median >= _KEEPALIVE_MEDIAN_LIMIT_MS:
+        return (
+            f"keep-alive median round trip {median:.1f} ms "
+            f">= {_KEEPALIVE_MEDIAN_LIMIT_MS:.0f} ms over {n} cache hits"
+        )
+    return None
+
+
 def _selftest_queries(service: EstimationService, name: str, n: int):
     from repro.query.generator import QueryGenerator
 
@@ -185,6 +223,11 @@ def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
                 failures.append(f"/estimate returned {status}: {body}")
             elif body["selectivity"] != reference[0]:
                 failures.append("HTTP selectivity differs from sequential reference")
+            failure = _keepalive_failure(
+                server.server_address[1], {"model": dataset, "predicates": predicates}
+            )
+            if failure is not None:
+                failures.append(failure)
             status, metrics = _http_json(f"{base}/metrics")
             if status != 200 or metrics["cache"]["hits"] == 0:
                 failures.append(f"/metrics unhealthy (status {status})")
@@ -202,7 +245,7 @@ def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
         with model.lock:
             estimator = model.estimator
         service.register(
-            "slow", _Slowed(estimator, delay_seconds=0.25), fallback="sampling"
+            "slow", SlowEstimator(estimator, delay_seconds=0.25), fallback="sampling"
         )
         degraded = service.estimate("slow", queries[0], timeout_ms=10.0)
         if not degraded.degraded or degraded.source != "fallback":
@@ -225,30 +268,6 @@ def run_selftest(dataset: str = "twi", rows: int = 1500) -> int:
     return 0
 
 
-class _Slowed:
-    """Wrap a fitted estimator with artificial latency (selftest only)."""
-
-    def __init__(self, inner, delay_seconds: float):
-        self._inner = inner
-        self._delay = delay_seconds
-        self.name = f"slow-{getattr(inner, 'name', 'estimator')}"
-
-    @property
-    def table(self):
-        return self._inner.table
-
-    def estimate(self, query):
-        time.sleep(self._delay)
-        return self._inner.estimate(query)
-
-    def estimate_batch(self, queries, rngs=None):
-        time.sleep(self._delay)
-        return self._inner.estimate_batch(queries, rngs=rngs)
-
-    def runtime_plan(self):
-        return self._inner.runtime_plan()
-
-
 def run_cluster_selftest(
     dataset: str = "twi",
     rows: int = 1500,
@@ -267,7 +286,6 @@ def run_cluster_selftest(
 
     from repro.query.generator import QueryGenerator
     from repro.serve.cluster import ClusterConfig, ClusterService, leaked_segments
-    from repro.serve.cluster.testing import SlowEstimator
 
     baseline = leaked_segments()
     estimator = _fit_demo_estimator(dataset, rows, epochs=None)
@@ -345,6 +363,11 @@ def run_cluster_selftest(
                 failures.append(f"/estimate returned {status}: {body}")
             elif body["selectivity"] != reference[0]:
                 failures.append("HTTP selectivity differs from sequential reference")
+            failure = _keepalive_failure(
+                server.server_address[1], {"model": dataset, "predicates": predicates}
+            )
+            if failure is not None:
+                failures.append(failure)
         finally:
             server.shutdown()
             server.server_close()
@@ -362,9 +385,7 @@ def run_cluster_selftest(
         if after != reference:
             failures.append("answers diverged after worker respawn")
 
-        # Timeout-degrade path through the cluster router.  (_Slowed is
-        # defined in this __main__ module, which spawn children cannot
-        # re-import; SlowEstimator lives in an importable module.)
+        # Timeout-degrade path through the cluster router.
         service.register(
             "slow", SlowEstimator(estimator, delay_seconds=0.3), fallback="sampling"
         )

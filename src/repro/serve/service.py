@@ -24,7 +24,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, EstimateTimeoutError, ServeError, UnknownModelError
+from repro.errors import (
+    ConfigError,
+    EstimateTimeoutError,
+    SchemaError,
+    ServeError,
+    UnknownModelError,
+)
 from repro.estimators.base import Estimator
 from repro.estimators.registry import build_estimator
 from repro.query.query import Query
@@ -105,6 +111,8 @@ class ServedModel:
         self.source_mtime = _mtime(source_path)
         self.version = 0
         self.lock = threading.RLock()
+        # Hot reloads rebind the same table, so the column set is fixed.
+        self.columns = frozenset(estimator.table.column_names)
         # Compiled-plan snapshot (read-only, safe to share across
         # threads); refreshed whenever the estimator is swapped.
         self.plan = _runtime_plan_of(estimator)
@@ -161,6 +169,21 @@ class ServedModel:
             deltas[counter] = stats[counter] - self._prefix_baseline.get(counter, 0)
             self._prefix_baseline[counter] = stats[counter]
         return deltas
+
+    def check_columns(self, query: Query) -> None:
+        """Raise :class:`SchemaError` if ``query`` names a column the
+        model's table lacks.
+
+        Checked before the cache and the batcher: raised inside a
+        micro-batch, the error would fail every request coalesced with
+        this one.
+        """
+        unknown = [c for c in query.columns if c not in self.columns]
+        if unknown:
+            raise SchemaError(
+                f"model {self.name!r} has no column(s) {unknown}; "
+                f"columns: {sorted(self.columns)}"
+            )
 
     @property
     def num_rows(self) -> int:
@@ -399,6 +422,7 @@ class EstimationService:
         """Serve one query: cache, then micro-batch, then fallback."""
         start = time.perf_counter()
         model = self._require_model(model_name)
+        model.check_columns(query)
         key = (model_name, model.current_version(), query.cache_key())
         self.telemetry.increment("requests")
         self.telemetry.increment(f"requests.{model_name}")

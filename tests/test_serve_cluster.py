@@ -27,10 +27,12 @@ from repro.core.persistence import save_iam
 from repro.errors import (
     ConfigError,
     OverloadError,
+    SchemaError,
     ServeError,
     UnknownModelError,
 )
 from repro.estimators.iam import IAMEstimator
+from repro.query.query import Query
 from repro.serve import ClusterConfig, ClusterService, ServeConfig
 from repro.serve.cluster import (
     attach_plan,
@@ -221,6 +223,16 @@ class TestClusterService:
     def test_unknown_model_raises_without_worker_round_trip(self, cluster, twi_workload):
         with pytest.raises(UnknownModelError):
             cluster.estimate("nope", twi_workload.queries[0])
+
+    def test_unknown_column_is_a_schema_error(self, cluster, twi_workload):
+        # raised by the worker's service before its batcher, and carried
+        # back as the same type (HTTP maps it to 400)
+        with pytest.raises(SchemaError, match="no_such_column"):
+            cluster.estimate("twi", Query.from_pairs([("no_such_column", "<=", 1.0)]))
+        query = twi_workload.queries[0]
+        assert cluster.estimate("twi", query).selectivity == (
+            cluster.estimate_sequential("twi", query)
+        )
 
     def test_metrics_merge_worker_telemetry(self, cluster, twi_workload):
         for query in twi_workload.queries[:4]:
